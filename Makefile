@@ -1,6 +1,6 @@
 # Standard entry points; everything is pure Go with no external dependencies.
 
-.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental fuzz-smoke bench bench-json bench-check experiments verify fmt fmt-check vet lint lint-json ci examples
+.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental perfbench-smoke fuzz-smoke bench bench-json bench-check experiments verify fmt fmt-check vet lint lint-json ci examples
 
 all: build test
 
@@ -65,6 +65,21 @@ test-backend:
 # required throughout, including under chaos injection mid-query.
 test-incremental:
 	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch' . ./internal/relation/ ./internal/core/
+
+# End-to-end benchmark smoke: perfbench/ is a module of its own, so
+# `go build ./...` never compiles it. Build it and run one second of each
+# workload with its checks on; fail unless every run's last line reports
+# correct answers and no failed operation.
+PERFBENCH_WORKLOADS = tpch-large-cold acmdl-denorm-http tpch-live
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0'*) echo "perfbench $$w: ok" ;; \
+		*) echo "perfbench $$w: bad result: $$last" >&2; exit 1 ;; \
+		esac; \
+	done
 
 # Short fuzzing pass over every fuzz target (~6 minutes total); the nightly
 # workflow runs this, and `go test ./...` always replays the committed seed
@@ -144,9 +159,10 @@ lint-json:
 	@echo "wrote KWLINT.json KWLINT_PLANS.json"
 
 # Mirrors .github/workflows/ci.yml exactly, so contributors can run the
-# whole push gate locally before opening a PR (the PR-only fuzz and
-# bench-regression jobs are `go test -fuzz=FuzzExec -fuzztime=30s
-# ./internal/sqldb/` and `make bench-check`).
+# whole push gate locally before opening a PR (the PR-only fuzz,
+# bench-regression and perfbench jobs are `go test -fuzz=FuzzExec
+# -fuzztime=30s ./internal/sqldb/`, `make bench-check` and
+# `make perfbench-smoke`).
 ci: build vet fmt-check lint test test-shuffle test-race test-chaos test-prop test-backend test-incremental cover-check
 
 # Run every example end to end.

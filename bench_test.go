@@ -26,6 +26,7 @@ import (
 
 	"kwagg/internal/core"
 	"kwagg/internal/dataset/acmdl"
+	"kwagg/internal/dataset/synth"
 	"kwagg/internal/dataset/tpch"
 	"kwagg/internal/experiments"
 	"kwagg/internal/keyword"
@@ -378,4 +379,50 @@ func BenchmarkAnswerParallel8(b *testing.B) {
 		})
 	}
 	sys.Workers = 0
+}
+
+// BenchmarkEngineCommitEpoch measures the public commit path — Ingest is
+// untimed, CommitEpoch is timed: the core epoch build plus the fold of the
+// engine state (the SQAK baseline over the shared index). Each commit is
+// 100 rows into tpch.Large: 25 new orders of 3 line items each, referencing
+// existing customers, parts and suppliers. BenchmarkEpochCommit in
+// internal/core times core.Live.Commit alone.
+func BenchmarkEngineCommitEpoch(b *testing.B) {
+	const orders, items = 25, 3
+	large := tpch.Large()
+	eng, err := kwagg.OpenLiveRelation(tpch.New(large), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	key := large.Orders
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		os := make([][]string, 0, orders)
+		ls := make([][]string, 0, orders*items)
+		for o := 0; o < orders; o++ {
+			key++
+			os = append(os, []string{fmt.Sprint(key), fmt.Sprint(1 + key%large.Customers),
+				fmt.Sprintf("%d.25", key%997), fmt.Sprintf("199%d-%02d-%02d", 2+key%7, 1+key%12, 1+key%28),
+				synth.Priorities[key%len(synth.Priorities)]})
+			for j := 0; j < items; j++ {
+				ls = append(ls, []string{fmt.Sprint(1 + (key*7+j)%large.Parts),
+					fmt.Sprint(1 + (key*13+j)%large.Suppliers), fmt.Sprint(key), fmt.Sprint(1 + j)})
+			}
+		}
+		if _, err := eng.Ingest("Order", os); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Ingest("Lineitem", ls); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := eng.CommitEpoch(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(orders*(1+items))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

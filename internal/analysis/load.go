@@ -61,9 +61,14 @@ func newLoader(dir string, includeTests bool) (*Loader, error) {
 		path := parts[0]
 		// "foo [foo.test]" is foo's test variant: a superset of foo's
 		// exports (export_test.go included). Prefer it over the plain
-		// export so _test packages resolve their imports.
+		// export so _test packages resolve their imports. "foo [bar.test]"
+		// is foo recompiled against bar's test variant, without foo's own
+		// export_test.go; it must not shadow foo's.
 		if i := strings.IndexByte(path, ' '); i >= 0 {
 			base := path[:i]
+			if path[i+1:] != "["+base+".test]" {
+				continue
+			}
 			l.exports[base] = parts[1]
 			testVariant[base] = true
 			continue

@@ -8,6 +8,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -180,26 +181,19 @@ func (m *Matcher) Match(t keyword.Term) []Tag {
 // valueTags finds the attributes whose stored values contain the term and
 // counts the distinct objects per (view relation, attribute).
 func (m *Matcher) valueTags(term string) []Tag {
-	postings := m.idx.LookupPhrase(m.data, term)
-	// (data relation, attr) -> rows
-	type key struct{ rel, attr string }
-	rows := make(map[key][]int)
-	var order []key
-	for _, p := range postings {
-		k := key{strings.ToLower(p.Relation), strings.ToLower(p.Attr)}
-		if _, ok := rows[k]; !ok {
-			order = append(order, k)
-		}
-		rows[k] = append(rows[k], p.Row)
+	type key struct{ rel, attr string } // lower-cased data relation, attribute
+	var keys []key
+	for _, f := range m.idx.PhraseFields(m.data, term) {
+		keys = append(keys, key{strings.ToLower(f.Relation), strings.ToLower(f.Attr)})
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].rel != order[j].rel {
-			return order[i].rel < order[j].rel
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].rel != keys[j].rel {
+			return keys[i].rel < keys[j].rel
 		}
-		return order[i].attr < order[j].attr
+		return keys[i].attr < keys[j].attr
 	})
 	var tags []Tag
-	for _, k := range order {
+	for _, k := range slices.Compact(keys) {
 		dataTable := m.data.Table(k.rel)
 		if dataTable == nil {
 			continue

@@ -139,8 +139,8 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 		if d.tailLen() == 0 {
 			nt.dicts[j] = base.dicts[j]
 		} else {
-			nt.dicts[j] = d
 			stats.NewDictEntries += d.tailLen()
+			nt.dicts[j] = d.seal()
 		}
 	}
 
@@ -168,32 +168,15 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 		nt.cols[j].Nulls = extendNulls(base.cols[j].Nulls, add, j, n0, n1)
 	}
 
-	// Value indexes: the outer per-ID table is copied (slice headers only,
-	// O(distinct)); untouched posting lists are shared, touched ones are
-	// extended in place under the claim or copied on first touch. New row
-	// ids exceed all old ones, so appending keeps every list ascending.
-	nt.post = make([][][]int, ncols)
+	// Value indexes: the page table is copied (distinct/postPage headers)
+	// and only the pages holding touched IDs are copied; untouched pages
+	// and their posting lists are shared. New row ids exceed all old ones,
+	// so appending keeps every list ascending.
+	nt.post = make([]postings, ncols)
 	for j := 0; j < ncols; j++ {
-		basePost := base.post[j]
-		p := make([][]int, nt.dicts[j].Len())
-		copy(p, basePost)
-		for i := range add {
-			id := newEnc[i*ncols+j]
-			origLen := 0
-			if int(id) < len(basePost) {
-				origLen = len(basePost[id])
-			}
-			if len(p[id]) == origLen {
-				stats.TouchedPostings++
-			}
-			if claim || len(p[id]) != origLen {
-				p[id] = append(p[id], n0+i)
-			} else {
-				b := p[id]
-				p[id] = append(b[:len(b):len(b)], n0+i)
-			}
-		}
-		nt.post[j] = p
+		var touched int
+		nt.post[j], touched = extendPostings(base.post[j], newEnc, ncols, j, n0, nt.dicts[j].Len(), claim)
+		stats.TouchedPostings += touched
 	}
 	return nt, stats, nil
 }

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,11 +107,11 @@ func requireTableEqual(t *testing.T, got, want *Table) {
 			}
 		}
 		if len(got.post[j]) != len(want.post[j]) {
-			t.Fatalf("post %d: got %d lists, want %d", j, len(got.post[j]), len(want.post[j]))
+			t.Fatalf("post %d: got %d pages, want %d", j, len(got.post[j]), len(want.post[j]))
 		}
-		for id := range want.post[j] {
-			if !reflect.DeepEqual(got.post[j][id], want.post[j][id]) {
-				t.Fatalf("post %d id %d: got %v, want %v", j, id, got.post[j][id], want.post[j][id])
+		for id := uint32(0); id < uint32(want.dicts[j].Len()); id++ {
+			if g, w := got.post[j].rows(id), want.post[j].rows(id); !reflect.DeepEqual(g, w) {
+				t.Fatalf("post %d id %d: got %v, want %v", j, id, g, w)
 			}
 		}
 	}
@@ -219,6 +221,33 @@ func TestExtendFrozenBranchedBase(t *testing.T) {
 	requireTableEqual(t, base, fullFreeze(t, s, deltaRows(0, 200)))
 }
 
+// A delta on the branch that lost the claim wins that branch's own claim.
+// Value-index lists the losing branch shared with the base untouched must
+// not let it append into spare capacity the winning sibling already wrote.
+func TestExtendFrozenBranchLineage(t *testing.T) {
+	s := deltaSchema()
+	base := fullFreeze(t, s, deltaRows(0, 200))
+	left, _, err := ExtendFrozen(base, deltaRows(200, 260))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// right touches no existing Cat value, so its cat0..cat2 lists are the
+	// base's.
+	other := []Tuple{{int64(900), "zed", "catZ", 1.5}, {int64(901), "zed", "catZ", nil}}
+	right, _, err := ExtendFrozen(base, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := ExtendFrozen(right, deltaRows(600, 660))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableEqual(t, left, fullFreeze(t, s, deltaRows(0, 200), deltaRows(200, 260)))
+	requireTableEqual(t, right, fullFreeze(t, s, deltaRows(0, 200), other))
+	requireTableEqual(t, next, fullFreeze(t, s, deltaRows(0, 200), other, deltaRows(600, 660)))
+	requireTableEqual(t, base, fullFreeze(t, s, deltaRows(0, 200)))
+}
+
 func TestExtendFrozenErrors(t *testing.T) {
 	s := deltaSchema()
 	unfrozen := NewTable(s)
@@ -312,18 +341,7 @@ func TestAppendRowsMatchesBuildIndex(t *testing.T) {
 		t.Fatal("expected touched posting lists")
 	}
 	want := BuildIndex(full)
-	if !reflect.DeepEqual(patched.postings, want.postings) {
-		for tok, ps := range want.postings {
-			if !reflect.DeepEqual(patched.postings[tok], ps) {
-				t.Fatalf("token %q: got %v, want %v", tok, patched.postings[tok], ps)
-			}
-		}
-		for tok := range patched.postings {
-			if _, ok := want.postings[tok]; !ok {
-				t.Fatalf("token %q present in patched index only", tok)
-			}
-		}
-	}
+	requireIndexEqual(t, "patched", patched, want)
 	// Patching with nothing new returns the index itself.
 	same, touched := want.AppendRows(full, map[string]int{"item": 180, "other": 70})
 	if same != want || touched != 0 {
@@ -332,8 +350,9 @@ func TestAppendRowsMatchesBuildIndex(t *testing.T) {
 }
 
 // Dictionary layering details: pointer identity is preserved for columns
-// with no new distinct values, chains flatten past maxDictDepth, and the
-// remap cache stays correct and capped across epochs.
+// with no new distinct values, layer sizes at least double down the chain
+// (so its depth is logarithmic), and the remap cache stays correct and
+// capped across epochs.
 func TestDictExtendLayering(t *testing.T) {
 	s := NewSchema("L", "Id INT", "Cat").Key("Id")
 	rows := []Tuple{}
@@ -361,7 +380,7 @@ func TestDictExtendLayering(t *testing.T) {
 	// and lookups exact.
 	cur := got
 	n := cur.Len()
-	for e := 0; e < 4*maxDictDepth; e++ {
+	for e := 0; e < 200; e++ {
 		cur, _, err = ExtendFrozen(cur, []Tuple{{int64(1000 + e), fmt.Sprintf("cat%d", e%6)}})
 		if err != nil {
 			t.Fatal(err)
@@ -369,8 +388,15 @@ func TestDictExtendLayering(t *testing.T) {
 		n++
 	}
 	for j, d := range cur.dicts {
-		if d.depth > maxDictDepth {
-			t.Fatalf("dict %d chain depth %d exceeds %d", j, d.depth, maxDictDepth)
+		depth := 0
+		for e := d; e.base != nil; e = e.base {
+			if 2*len(e.vals) >= len(e.base.vals) {
+				t.Fatalf("dict %d: layer of %d values over one of %d", j, len(e.vals), len(e.base.vals))
+			}
+			depth++
+		}
+		if limit := bits.Len(uint(d.Len())); depth > limit {
+			t.Fatalf("dict %d chain depth %d exceeds %d", j, depth, limit)
 		}
 	}
 	if cur.Len() != n {
@@ -420,6 +446,45 @@ func TestRemapCacheCap(t *testing.T) {
 	}
 	if n := d.remapN.Load(); n > remapCacheMax {
 		t.Fatalf("remap cache grew to %d, cap is %d", n, remapCacheMax)
+	}
+}
+
+// A steady-state commit copies value-index page headers, not one posting
+// list header per distinct value, and merges dictionary tails without
+// re-copying the full build's layer: the bytes it allocates grow far slower
+// than the table. (A list header per distinct value would cost 24 bytes per
+// existing row in each unique column, 48 here.)
+func TestExtendFrozenBytesSublinear(t *testing.T) {
+	s := NewSchema("U", "Id INT", "Label").Key("Id")
+	commitBytes := func(n int) uint64 {
+		row := func(i int) Tuple { return Tuple{int64(i), fmt.Sprintf("label %d", i)} }
+		rows := make([]Tuple, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		cur := fullFreeze(t, s, rows)
+		var ms0, ms1 runtime.MemStats
+		for c := 0; c < 3; c++ {
+			add := make([]Tuple, 100)
+			for i := range add {
+				add[i] = row(n + c*100 + i)
+			}
+			runtime.ReadMemStats(&ms0)
+			next, _, err := ExtendFrozen(cur, add)
+			runtime.ReadMemStats(&ms1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+		}
+		// The third commit's bytes: the first commit after a full freeze
+		// copies the columns (they have no spare capacity), so it is not
+		// the steady state.
+		return ms1.TotalAlloc - ms0.TotalAlloc
+	}
+	small, large := commitBytes(2000), commitBytes(64000)
+	if perRow := float64(large-min(small, large)) / 62000; perRow > 4 {
+		t.Fatalf("commit bytes grew %.1f B per existing row (%d at 2k rows, %d at 64k)", perRow, small, large)
 	}
 }
 

@@ -11,13 +11,6 @@ import (
 // are dense from 0, so NoID can never collide with one.
 const NoID = ^uint32(0)
 
-// maxDictDepth bounds the delta-dictionary chain length (see Extend): a
-// lookup walks at most this many layers, and an Extend that would exceed it
-// flattens the chain back into a single layer first. Flattening costs
-// O(distinct) but happens at most once per maxDictDepth epochs, so the
-// amortized per-commit cost stays O(distinct/maxDictDepth).
-const maxDictDepth = 8
-
 // remapCacheMax bounds the number of remap tables cached per dictionary.
 // Long-lived delta chains reuse base dictionaries across many epochs; without
 // a cap every epoch's partner dictionaries would pin a translation table (and
@@ -45,7 +38,6 @@ const remapCacheMax = 128
 type Dict struct {
 	base   *Dict             // previous layer, nil for a full build
 	start  uint32            // first ID owned by this layer (== base.Len())
-	depth  int               // layers below this one
 	ids    map[string]uint32 // Format(v) -> id, this layer's tail only
 	vals   []Value           // id start+i -> first value encoded with that id
 	allStr bool              // every encoded value (all layers) was a string
@@ -58,35 +50,49 @@ func newDict() *Dict { return &Dict{ids: make(map[string]uint32), allStr: true} 
 // Extend returns a new dictionary sharing this one as its immutable base:
 // encode on the result interns unseen values into a private tail starting at
 // d.Len(), leaving d untouched (old-epoch readers keep using it
-// concurrently). When the layer chain would exceed maxDictDepth the base is
-// flattened first, bounding lookup cost.
+// concurrently). Once the tail is encoded, seal bounds the layer chain.
 func (d *Dict) Extend() *Dict {
-	base := d
-	if d.depth >= maxDictDepth {
-		base = d.flatten()
-	}
 	return &Dict{
-		base:   base,
-		start:  uint32(base.Len()),
-		depth:  base.depth + 1,
+		base:   d,
+		start:  uint32(d.Len()),
 		ids:    make(map[string]uint32),
-		allStr: base.allStr,
+		allStr: d.allStr,
 	}
 }
 
-// flatten collapses the layer chain into a single fresh dictionary with the
-// same ID assignment. Keys live in exactly one layer, so the maps merge
-// without re-rendering any value.
-func (d *Dict) flatten() *Dict {
-	n := d.Len()
-	nd := &Dict{ids: make(map[string]uint32, n), vals: make([]Value, n), allStr: d.allStr}
-	for e := d; e != nil; e = e.base {
-		copy(nd.vals[e.start:int(e.start)+len(e.vals)], e.vals)
-		for k, id := range e.ids {
-			nd.ids[k] = id
-		}
+// seal bounds the layer chain of a freshly encoded delta before it is
+// published: while the top layer holds at least half as many values as the
+// layer below it, the two are merged into one fresh layer (the shared lower
+// layer is left as it is). Layer sizes therefore at least double going down
+// the chain, so a lookup walks O(log(Len)) layers, and, like a binary
+// counter, a merge copies only the recent tails: the layer a full build made
+// is copied only once the tails above it have grown to half its size.
+func (d *Dict) seal() *Dict {
+	for d.base != nil && 2*len(d.vals) >= len(d.base.vals) {
+		d = mergeLayers(d.base, d)
 	}
-	return nd
+	return d
+}
+
+// mergeLayers returns one layer holding lo's values followed by hi's, over
+// lo's base, with the same ID assignment. Keys live in exactly one layer, so
+// the maps merge without re-rendering any value.
+func mergeLayers(lo, hi *Dict) *Dict {
+	m := &Dict{
+		base:   lo.base,
+		start:  lo.start,
+		ids:    make(map[string]uint32, len(lo.ids)+len(hi.ids)),
+		vals:   make([]Value, 0, len(lo.vals)+len(hi.vals)),
+		allStr: hi.allStr,
+	}
+	m.vals = append(append(m.vals, lo.vals...), hi.vals...)
+	for k, id := range lo.ids {
+		m.ids[k] = id
+	}
+	for k, id := range hi.ids {
+		m.ids[k] = id
+	}
+	return m
 }
 
 // tailLen returns the number of values interned into this layer alone; a

@@ -137,24 +137,27 @@ func TestInvertedIndex(t *testing.T) {
 	tb.MustInsert("s2", "Green", int64(24))
 	idx := BuildIndex(db)
 
-	if got := idx.LookupToken("george"); len(got) != 1 || got[0].Row != 0 {
+	if got := idx.lookup("george"); len(got) != 1 || !reflect.DeepEqual(got[0].rows, []int32{0}) {
 		t.Errorf("token lookup: %v", got)
 	}
-	if got := idx.LookupToken("MICHAEL"); len(got) != 1 {
-		t.Errorf("tokens should be case-insensitive: %v", got)
+	if got := idx.lookup("michael"); len(got) != 1 {
+		t.Errorf("tokens should be lower-cased: %v", got)
 	}
-	if got := idx.LookupToken("nosuch"); got != nil {
+	if got := idx.lookup("nosuch"); got != nil {
 		t.Errorf("miss should be empty: %v", got)
 	}
 	// Integer attributes are not indexed.
-	if got := idx.LookupToken("22"); got != nil {
+	if got := idx.lookup("22"); got != nil {
 		t.Errorf("numeric attributes should not be indexed: %v", got)
 	}
 	// Phrase lookup requires the whole phrase to appear.
-	if got := idx.LookupPhrase(db, "George Michael"); len(got) != 1 {
+	if got := idx.PhraseFields(db, "George Michael"); len(got) != 1 || got[0].Relation != "Student" || got[0].Attr != "Sname" {
 		t.Errorf("phrase hit: %v", got)
 	}
-	if got := idx.LookupPhrase(db, "Michael George"); len(got) != 0 {
+	if got := idx.PhraseFields(db, "MICHAEL"); len(got) != 1 {
+		t.Errorf("phrases should match case-insensitively: %v", got)
+	}
+	if got := idx.PhraseFields(db, "Michael George"); len(got) != 0 {
 		t.Errorf("phrase order matters: %v", got)
 	}
 	if idx.Vocabulary() == 0 {

@@ -32,7 +32,7 @@ type Table struct {
 	dicts []*Dict
 	enc   []uint32
 	cols  []ColData
-	post  [][][]int
+	post  []postings
 
 	// tailClaimed marks that one delta table (see ExtendFrozen) has taken
 	// ownership of this frozen table's spare backing capacity: the first
@@ -141,14 +141,9 @@ func (t *Table) Freeze() {
 			}
 		}
 	}
-	t.post = make([][][]int, ncols)
+	t.post = make([]postings, ncols)
 	for j := range t.post {
-		p := make([][]int, t.dicts[j].Len())
-		for i := range t.Tuples {
-			id := t.enc[i*ncols+j]
-			p[id] = append(p[id], i)
-		}
-		t.post[j] = p
+		t.post[j] = buildPostings(t.enc, ncols, j, t.dicts[j].Len())
 	}
 	t.hashIdx = nil // the ID postings replace the formatted-string index
 }
@@ -252,7 +247,7 @@ func (t *Table) Lookup(attr string, v Value) []int {
 		if !ok {
 			return nil
 		}
-		return t.post[j][id]
+		return t.post[j].rows(id)
 	}
 	t.mu.Lock()
 	idx := t.buildIdxLocked(key)

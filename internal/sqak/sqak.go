@@ -48,9 +48,17 @@ type edge struct {
 	attrs [][2]string // join attribute pairs [fromAttr, toAttr]
 }
 
-// New builds the SQAK schema graph for db.
+// New builds the SQAK schema graph for db and indexes its values.
 func New(db *relation.Database) *System {
-	s := &System{db: db, idx: relation.BuildIndex(db), adj: make(map[string][]edge)}
+	return NewWithIndex(db, relation.BuildIndex(db))
+}
+
+// NewWithIndex is New over a pre-built inverted index, which must equal
+// relation.BuildIndex(db). The engine passes its matcher's index, so SQAK
+// and the semantic approach match values against one shared index and
+// opening SQAK over an epoch costs only the schema-sized graph build.
+func NewWithIndex(db *relation.Database, idx *relation.InvertedIndex) *System {
+	s := &System{db: db, idx: idx, adj: make(map[string][]edge)}
 	for _, t := range db.Tables() {
 		for _, fk := range t.Schema.ForeignKeys {
 			pairs := make([][2]string, len(fk.Attrs))
@@ -70,6 +78,10 @@ func New(db *relation.Database) *System {
 	}
 	return s
 }
+
+// Index returns the inverted index SQAK matches values against. Immutable —
+// read only.
+func (s *System) Index() *relation.InvertedIndex { return s.idx }
 
 // matchKind orders match preference (lower is better). Approximate
 // attribute matches outrank approximate relation-name matches: "proceeding"
@@ -121,15 +133,8 @@ func (s *System) matches(t keyword.Term) []termMatch {
 			}
 		}
 	}
-	type va struct{ rel, attr string }
-	seen := make(map[va]bool)
-	for _, p := range s.idx.LookupPhrase(s.db, t.Text) {
-		k := va{strings.ToLower(p.Relation), p.Attr}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, termMatch{rel: k.rel, attr: k.attr, kind: kindValue, term: t.Text})
+	for _, f := range s.idx.PhraseFields(s.db, t.Text) {
+		out = append(out, termMatch{rel: strings.ToLower(f.Relation), attr: f.Attr, kind: kindValue, term: t.Text})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].kind != out[j].kind {

@@ -248,11 +248,18 @@ func (e *Engine) state() *engineState {
 	if epoch == st.epoch {
 		return st
 	}
-	next := &engineState{sys: sys, sqak: sqak.New(sys.Data), epoch: epoch}
+	next := &engineState{sys: sys, sqak: newSQAK(sys), epoch: epoch}
 	if e.cur.CompareAndSwap(st, next) {
 		return next
 	}
 	return e.cur.Load()
+}
+
+// newSQAK opens the SQAK baseline over sys's data, sharing the matcher's
+// inverted index: one index per epoch, and folding an epoch in costs only
+// SQAK's schema-sized graph build.
+func newSQAK(sys *core.System) *sqak.System {
+	return sqak.NewWithIndex(sys.Data, sys.Matcher.Index())
 }
 
 // coreOptions translates the public Options into core's.
@@ -300,7 +307,7 @@ func OpenLive(d *DB, opts *Options) (*Engine, error) {
 
 func newEngine(sys *core.System, live *core.Live, opts *Options) *Engine {
 	e := &Engine{live: live, metrics: obs.NewRegistry()}
-	e.cur.Store(&engineState{sys: sys, sqak: sqak.New(sys.Data)})
+	e.cur.Store(&engineState{sys: sys, sqak: newSQAK(sys)})
 	cacheSize := 0
 	if opts != nil {
 		cacheSize = opts.CacheSize
@@ -399,11 +406,15 @@ func (e *Engine) CommitEpoch(ctx context.Context) (uint64, error) {
 	if e.live == nil {
 		return 0, ErrNotLive
 	}
-	epoch, err := e.live.Commit(e.withObs(ctx))
+	ctx = e.withObs(ctx)
+	epoch, err := e.live.Commit(ctx)
 	if err != nil {
 		return epoch, err
 	}
-	e.state() // fold the swap in eagerly instead of on the next query
+	// Fold the swap in eagerly instead of on the next query.
+	_, span := obs.Start(ctx, "epoch_fold")
+	e.state()
+	span.End()
 	return epoch, nil
 }
 

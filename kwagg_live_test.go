@@ -25,6 +25,10 @@ func TestLiveEngineEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sqakBefore, _, err := eng.SQAKAnswer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A third Green student enrolled in Database changes the SUM.
 	if _, err := eng.Ingest("Student", [][]string{{"s9", "Green", "23"}}); err != nil {
@@ -79,6 +83,21 @@ func TestLiveEngineEpochs(t *testing.T) {
 	res, err := eng.ExecuteSQL("SELECT S.Sname FROM Student S WHERE S.Sid = 's9'")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "Green" {
 		t.Fatalf("ExecuteSQL on epoch 1: %v %+v", err, res)
+	}
+	sqakAfter, sqakSQL, err := eng.SQAKAnswer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqakWant, wantSQL, err := frozen.SQAKAnswer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sqakSQL != wantSQL || !reflect.DeepEqual(sqakAfter, sqakWant) {
+		t.Fatalf("SQAK on epoch 1 diverged from the frozen equivalent:\nwant %s %+v\ngot  %s %+v",
+			wantSQL, sqakWant, sqakSQL, sqakAfter)
+	}
+	if reflect.DeepEqual(sqakBefore, sqakAfter) {
+		t.Fatalf("SQAK still answers from epoch 0: %+v", sqakAfter)
 	}
 }
 

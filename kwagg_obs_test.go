@@ -2,6 +2,7 @@ package kwagg
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -144,4 +145,39 @@ func sorted(s []string) []string {
 		}
 	}
 	return out
+}
+
+// TestCommitEpochTrace checks that a traced CommitEpoch accounts for its
+// time: the core build (epoch_build) and the engine-state fold (epoch_fold)
+// both appear as top-level stages, together covering most of the wall time.
+func TestCommitEpochTrace(t *testing.T) {
+	eng, err := OpenDatasetLive("tpch", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, 50)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprint(900000 + i), "1", "10.5", "1996-02-03", "2-HIGH"}
+	}
+	if _, err := eng.Ingest("Order", rows); err != nil {
+		t.Fatal(err)
+	}
+	ctx, trace := obs.NewTrace(context.Background())
+	if _, err := eng.CommitEpoch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	trace.Finish()
+	seen := map[string]bool{}
+	for _, s := range trace.Spans() {
+		if s.Depth == 0 {
+			seen[s.Name] = true
+		}
+	}
+	if !seen["epoch_build"] || !seen["epoch_fold"] {
+		t.Fatalf("commit trace lacks a top-level stage; breakdown:\n%s", trace.Breakdown())
+	}
+	total, wall := trace.StageTotal(), trace.Elapsed()
+	if total > wall || total < wall/2 {
+		t.Errorf("stage total %v does not account for wall %v; breakdown:\n%s", total, wall, trace.Breakdown())
+	}
 }
